@@ -106,9 +106,14 @@ impl Benchmark {
     /// Generates this benchmark at the paper's 80 % utilization of a
     /// `device_qubits`-qubit system.
     pub fn for_device_qubits(self, device_qubits: usize, seed: Seed) -> Circuit {
-        let logical = ((device_qubits as f64 * UTILIZATION).floor() as usize).max(4);
-        self.generate(logical, seed)
+        self.generate(logical_width(device_qubits), seed)
     }
+}
+
+/// The logical width [`Benchmark::for_device_qubits`] generates at:
+/// 80 % of `device_qubits`, at least 4.
+pub fn logical_width(device_qubits: usize) -> usize {
+    ((device_qubits as f64 * UTILIZATION).floor() as usize).max(4)
 }
 
 impl std::fmt::Display for Benchmark {

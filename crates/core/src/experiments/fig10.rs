@@ -3,25 +3,25 @@
 //!
 //! For every system, each benchmark is generated at 80 % utilization,
 //! compiled (layout + SABRE + basis lowering) onto both the MCM and the
-//! monolithic topology, and scored by the fidelity product of all
+//! monolithic topology — once per hub, through its routing memo, since
+//! routing never reads noise — and scored by the fidelity product of all
 //! two-qubit gates over the respective device populations. The
 //! reported quantity is `log10(ESP_MCM / ESP_Mono)` using population
 //! geometric means — positive means MCM advantage. Systems whose
 //! monolithic counterpart had zero collision-free yield are the
 //! paper's red-X points: the MCM is the only way to run the workload.
 
-use std::collections::BTreeMap;
-
 use chipletqc_benchmarks::suite::Benchmark;
 use chipletqc_math::logspace::{ln_to_log10, mean_ln};
 use chipletqc_math::rng::Seed;
 use chipletqc_topology::evalset::paper_mcms;
 use chipletqc_topology::mcm::McmSpec;
-use chipletqc_transpile::esp::{edge_usage, esp_from_usage};
+use chipletqc_transpile::esp::esp_from_usage;
 use chipletqc_transpile::pipeline::Transpiler;
 
 use crate::lab::{CacheHub, Lab, LabConfig};
 use crate::report::TextTable;
+use crate::routing::{RoutedDevice, RoutingKey};
 
 /// Fig. 10 configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -219,11 +219,24 @@ pub fn run(config: &Fig10Config) -> Fig10Data {
 }
 
 /// Runs the Fig. 10 evaluation sharing fabrication/characterization
-/// caches through `hub` (the engine's concurrent-scenario path).
+/// caches and routed circuits through `hub` (the engine's
+/// concurrent-scenario path).
 pub fn run_in(config: &Fig10Config, hub: &CacheHub) -> Fig10Data {
     let lab = Lab::new_in(config.lab, hub);
-    // Monolithic compiles are shared across systems of equal size.
-    let mut mono_usage: BTreeMap<(usize, Benchmark), Vec<u32>> = BTreeMap::new();
+    let key = |benchmark, device| {
+        RoutingKey::for_device(config.transpiler, benchmark, config.circuit_seed, device)
+    };
+    let keys: Vec<RoutingKey> = config
+        .systems
+        .iter()
+        .flat_map(|spec| {
+            [RoutedDevice::Mcm(*spec), RoutedDevice::Monolithic(spec.num_qubits())]
+        })
+        .flat_map(|device| config.benchmarks.iter().map(move |&b| key(b, device)))
+        .collect();
+    hub.route_all(&keys);
+    lab.prepare(&config.systems);
+    let usage = |benchmark, device| hub.edge_usage(&key(benchmark, device));
 
     let mut rows: Vec<Fig10Row> = config
         .benchmarks
@@ -233,28 +246,22 @@ pub fn run_in(config: &Fig10Config, hub: &CacheHub) -> Fig10Data {
 
     for spec in &config.systems {
         let qubits = spec.num_qubits();
-        let mcm_device = spec.build();
         let mono_pop = lab.mono_population(qubits);
         let outcome = lab.assemble(spec);
         let selected = lab.selected_mcm_count(outcome.mcms.len(), mono_pop.estimate.survivors);
 
         for (bi, &benchmark) in config.benchmarks.iter().enumerate() {
-            let circuit = benchmark.for_device_qubits(qubits, config.circuit_seed);
-            let mcm_compiled = config.transpiler.transpile(&circuit, &mcm_device);
-            let mcm_use = edge_usage(&mcm_compiled.physical, &mcm_device);
+            let mcm_use = usage(benchmark, RoutedDevice::Mcm(*spec));
             let mcm_lns: Vec<f64> = outcome.mcms[..selected]
                 .iter()
                 .map(|m| esp_from_usage(&mcm_use, &m.noise).ln())
                 .collect();
 
-            let mono_use = mono_usage.entry((qubits, benchmark)).or_insert_with(|| {
-                let compiled = config.transpiler.transpile(&circuit, &mono_pop.device);
-                edge_usage(&compiled.physical, &mono_pop.device)
-            });
+            let mono_use = usage(benchmark, RoutedDevice::Monolithic(qubits));
             let mono_lns: Vec<f64> = mono_pop
                 .members
                 .iter()
-                .map(|(_, noise)| esp_from_usage(mono_use, noise).ln())
+                .map(|(_, noise)| esp_from_usage(&mono_use, noise).ln())
                 .collect();
 
             let mcm_esp_log10 = (!mcm_lns.is_empty()).then(|| ln_to_log10(mean_ln(&mcm_lns)));

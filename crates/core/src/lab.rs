@@ -35,7 +35,7 @@
 //! meaningful. [`ComparisonMode::AllAssembled`] is the ablation that
 //! averages over every assembled module.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -57,6 +57,8 @@ use chipletqc_yield::fabrication::FabricationParams;
 use chipletqc_yield::monte_carlo::{
     fabricate_collision_free_with_workers, TrialRange, YieldEstimate,
 };
+
+use crate::routing::{RoutingKey, RoutingMemo};
 
 /// How MCM and monolithic populations are matched before averaging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -229,9 +231,9 @@ impl Codec for MonoPopulation {
 
 /// A cache slot that is initialized exactly once, even under races:
 /// the map lock is held only to find the slot, never while computing.
-type Slot<T> = Arc<OnceLock<Arc<T>>>;
+pub(crate) type Slot<T> = Arc<OnceLock<Arc<T>>>;
 
-fn slot<K: Ord + Clone, T>(map: &Mutex<BTreeMap<K, Slot<T>>>, key: &K) -> Slot<T> {
+pub(crate) fn slot<K: Ord + Clone, T>(map: &Mutex<BTreeMap<K, Slot<T>>>, key: &K) -> Slot<T> {
     Arc::clone(map.lock().expect("cache poisoned").entry(key.clone()).or_default())
 }
 
@@ -249,6 +251,9 @@ fn slot<K: Ord + Clone, T>(map: &Mutex<BTreeMap<K, Slot<T>>>, key: &K) -> Slot<T
 struct SharedCaches {
     chiplet_bins: Mutex<BTreeMap<usize, Slot<KgdBin>>>,
     mono_pops: Mutex<BTreeMap<usize, Slot<MonoPopulation>>>,
+    /// Products some [`Lab::prepare`] caller has taken on, as
+    /// `(monolithic?, qubits)`.
+    claimed: Mutex<BTreeSet<(bool, usize)>>,
     chiplet_fabrications: AtomicUsize,
     mono_fabrications: AtomicUsize,
     store: Option<Arc<Store>>,
@@ -301,6 +306,9 @@ pub struct CacheHub {
     /// monotonic across resets — the property per-batch deltas
     /// ([`FabricationStats::since`]) rely on.
     retired: Arc<Mutex<FabricationStats>>,
+    /// Routed circuits, keyed apart from the lab configuration: noise
+    /// never enters a routing, so every scenario shares them.
+    routings: Arc<RoutingMemo>,
 }
 
 impl CacheHub {
@@ -347,6 +355,27 @@ impl CacheHub {
         }
     }
 
+    /// The per-edge gate usage of the circuit `key` routes, computed
+    /// at most once per hub (and read through the attached store,
+    /// which persists what is computed).
+    pub(crate) fn edge_usage(&self, key: &RoutingKey) -> Arc<Vec<u32>> {
+        self.routings.edge_usage(key, self.store.as_deref())
+    }
+
+    /// Resolves the routings of `keys` ahead of their
+    /// [`CacheHub::edge_usage`] calls, skipping keys another caller is
+    /// already resolving, so concurrent scenarios share the work.
+    pub(crate) fn route_all(&self, keys: &[RoutingKey]) {
+        self.routings.route_all(keys, self.store.as_deref());
+    }
+
+    /// How many routings [`CacheHub::edge_usage`] actually ran — neither
+    /// memoized nor served by the store. Monotonic across
+    /// [`CacheHub::clear`], so per-batch deltas are differences.
+    pub fn transpiles(&self) -> usize {
+        self.routings.transpiles()
+    }
+
     fn shared_for(&self, config: &LabConfig) -> Arc<SharedCaches> {
         Arc::clone(
             self.inner.lock().expect("hub poisoned").entry(config.cache_key()).or_insert_with(
@@ -374,9 +403,9 @@ impl CacheHub {
     }
 
     /// Drops every warm in-memory product — the shared
-    /// fabrication/characterization caches and the attached store's
-    /// in-process memo — while keeping the store attachment and the
-    /// cumulative fabrication counters.
+    /// fabrication/characterization caches, the routing memo and the
+    /// attached store's in-process memo — while keeping the store
+    /// attachment and the cumulative fabrication and routing counters.
     ///
     /// This is the long-lived service's memory-pressure valve: the hub
     /// behaves as freshly constructed (plus any persistent store), so
@@ -391,6 +420,7 @@ impl CacheHub {
             retired.mono_fabrications += caches.mono_fabrications.load(Ordering::Relaxed);
         }
         inner.clear();
+        self.routings.clear();
         if let Some(store) = &self.store {
             store.clear_memo();
         }
@@ -570,6 +600,29 @@ impl Lab {
             }
             pop
         }))
+    }
+
+    /// Resolves the chiplet bins and monolithic populations `systems`
+    /// need, skipping those another lab on the same caches has claimed.
+    /// Scenarios that start together on one configuration (a link-ratio
+    /// sweep) thus split the fabrication campaigns between their
+    /// threads instead of queueing behind each other on every product;
+    /// the products, and how many campaigns run, are unchanged.
+    pub(crate) fn prepare(&self, systems: &[McmSpec]) {
+        let chiplets: BTreeSet<ChipletSpec> = systems.iter().map(McmSpec::chiplet).collect();
+        let sizes: BTreeSet<usize> = systems.iter().map(McmSpec::num_qubits).collect();
+        let claim =
+            |product| self.shared.claimed.lock().expect("claims poisoned").insert(product);
+        for chiplet in chiplets {
+            if claim((false, chiplet.num_qubits())) {
+                self.chiplet_bin(chiplet);
+            }
+        }
+        for qubits in sizes {
+            if claim((true, qubits)) {
+                self.mono_population(qubits);
+            }
+        }
     }
 
     /// The best-first assembly of `spec` from its chiplet bin (cached
@@ -755,6 +808,33 @@ mod tests {
             hub.fabrication_stats(),
             FabricationStats { chiplet_fabrications: 1, mono_fabrications: 0 }
         );
+    }
+
+    #[test]
+    fn racing_prepare_splits_campaigns_without_repeating_them() {
+        let hub = CacheHub::new();
+        let config = LabConfig::quick().with_batch(120);
+        let (c10, c20) =
+            (ChipletSpec::with_qubits(10).unwrap(), ChipletSpec::with_qubits(20).unwrap());
+        let systems =
+            [McmSpec::new(c10, 2, 2), McmSpec::new(c10, 2, 3), McmSpec::new(c20, 1, 2)];
+        std::thread::scope(|scope| {
+            for ratio in [1.0, 2.5] {
+                let (hub, systems) = (&hub, &systems);
+                scope.spawn(move || {
+                    Lab::new_in(LabConfig { link_ratio: Some(ratio), ..config }, hub)
+                        .prepare(systems);
+                });
+            }
+        });
+        // Two chiplet designs, two system sizes (40 and 60 qubits).
+        let once = FabricationStats { chiplet_fabrications: 2, mono_fabrications: 2 };
+        assert_eq!(hub.fabrication_stats(), once);
+        let lab = Lab::new_in(config, &hub);
+        let plain = Lab::new(config);
+        assert_eq!(*lab.mono_population(60), *plain.mono_population(60));
+        assert_eq!(*lab.chiplet_bin(c20), *plain.chiplet_bin(c20));
+        assert_eq!(hub.fabrication_stats(), once, "prepared products are served");
     }
 
     #[test]

@@ -24,6 +24,8 @@
 //!   [`chipletqc_transpile`] / [`chipletqc_sim`] — the program side;
 //! * [`lab`] — the shared fabricate → characterize → assemble →
 //!   compare pipeline with caching;
+//! * [`routing`] — routed circuits (per-edge gate usage) as a shared,
+//!   store-backed product keyed by circuit × device × transpiler;
 //! * [`experiments`] — one module per paper table/figure, each with a
 //!   `paper()`-scale and `quick()`-scale configuration, a `run`
 //!   function, and a plain-text renderer.
@@ -50,6 +52,7 @@
 pub mod experiments;
 pub mod lab;
 pub mod report;
+pub mod routing;
 
 pub use chipletqc_assembly;
 pub use chipletqc_benchmarks;

@@ -1558,7 +1558,8 @@ fn main() -> ExitCode {
         hub.fabrication_stats(),
         hub.store_stats(),
         hub.peer_stats(),
-    );
+    )
+    .with_transpiles(hub.transpiles());
     print!("{}", timing_summary(&results, scheduler.workers()));
     println!("  {:<24} {:>9.3}s (batch wall clock)", "elapsed", batch_wall.as_secs_f64());
     let stats = hub.fabrication_stats();
@@ -1566,6 +1567,7 @@ fn main() -> ExitCode {
         "fabrication campaigns: {} chiplet, {} monolithic (shared across scenarios)",
         stats.chiplet_fabrications, stats.mono_fabrications
     );
+    println!("circuit routings: {} transpile(s) (shared across scenarios)", hub.transpiles());
     if hub.store().is_some() {
         let store = hub.store_stats();
         println!(

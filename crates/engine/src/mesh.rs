@@ -98,6 +98,8 @@ pub struct WorkOutcome {
     pub pieces: Vec<Piece>,
     /// Fabrication campaigns this unit cost the worker.
     pub fabrication: FabricationStats,
+    /// Circuit routings this unit cost the worker.
+    pub transpiles: usize,
     /// Store traffic this unit cost the worker.
     pub store: StoreStats,
     /// Store peer traffic this unit cost the worker.
@@ -151,7 +153,7 @@ pub fn outcome_from_results(
             }
         })
         .collect();
-    WorkOutcome { pieces, fabrication, store, peer }
+    WorkOutcome { pieces, fabrication, transpiles: 0, store, peer }
 }
 
 /// Encodes a work outcome as pieces text — a sequence of frames in
@@ -165,6 +167,7 @@ pub fn encode_pieces(outcome: &WorkOutcome) -> String {
     let _ = writeln!(out, "count = {}", outcome.pieces.len());
     let _ = writeln!(out, "chiplet-campaigns = {}", outcome.fabrication.chiplet_fabrications);
     let _ = writeln!(out, "mono-campaigns = {}", outcome.fabrication.mono_fabrications);
+    let _ = writeln!(out, "transpiles = {}", outcome.transpiles);
     let _ = writeln!(out, "store-hits = {}", outcome.store.hits);
     let _ = writeln!(out, "store-misses = {}", outcome.store.misses);
     let _ = writeln!(out, "store-writes = {}", outcome.store.writes);
@@ -222,6 +225,7 @@ pub fn decode_pieces(text: &str) -> io::Result<WorkOutcome> {
             chiplet_fabrications: need_u64(&headers, "chiplet-campaigns")? as usize,
             mono_fabrications: need_u64(&headers, "mono-campaigns")? as usize,
         },
+        transpiles: need_u64(&headers, "transpiles")? as usize,
         store: StoreStats {
             hits: need_u64(&headers, "store-hits")?,
             misses: need_u64(&headers, "store-misses")?,
@@ -296,12 +300,14 @@ pub fn merge_report(
     outcomes: Vec<WorkOutcome>,
 ) -> Result<RunReport, String> {
     let mut fabrication = FabricationStats::default();
+    let mut transpiles = 0;
     let mut store = StoreStats::default();
     let mut peer = PeerStats::default();
     let mut pieces: BTreeMap<String, Piece> = BTreeMap::new();
     for outcome in outcomes {
         fabrication.chiplet_fabrications += outcome.fabrication.chiplet_fabrications;
         fabrication.mono_fabrications += outcome.fabrication.mono_fabrications;
+        transpiles += outcome.transpiles;
         store.hits += outcome.store.hits;
         store.misses += outcome.store.misses;
         store.writes += outcome.store.writes;
@@ -337,7 +343,8 @@ pub fn merge_report(
     if let Some(stray) = pieces.keys().next() {
         return Err(format!("worker returned a result for unknown scenario `{stray}`"));
     }
-    Ok(RunReport::from_entries(entries, None, fabrication, store, peer))
+    Ok(RunReport::from_entries(entries, None, fabrication, store, peer)
+        .with_transpiles(transpiles))
 }
 
 /// The mesh coordinator's configuration: where the workers are, and
@@ -689,6 +696,7 @@ mod tests {
                 },
             ],
             fabrication: FabricationStats { chiplet_fabrications: 2, mono_fabrications: 5 },
+            transpiles: 7,
             store: StoreStats { hits: 1, misses: 2, writes: 3, invalid: 4 },
             peer: PeerStats {
                 hits: 9,

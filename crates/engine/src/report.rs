@@ -173,7 +173,8 @@ impl RunReport {
                 "fabrication",
                 Json::obj()
                     .field("chiplet_campaigns", stats.chiplet_fabrications)
-                    .field("mono_campaigns", stats.mono_fabrications),
+                    .field("mono_campaigns", stats.mono_fabrications)
+                    .field("transpiles", 0usize),
             )
             .field(
                 "store",
@@ -205,6 +206,22 @@ impl RunReport {
                 ),
             );
         RunReport { json, artifacts }
+    }
+
+    /// Records how many circuit routings the batch actually ran
+    /// ([`chipletqc::lab::CacheHub::transpiles`], as a per-batch
+    /// delta) in the `fabrication` counter object, where it reads 0
+    /// until set. A warm routing memo or store drives it to zero.
+    #[must_use]
+    pub fn with_transpiles(mut self, transpiles: usize) -> RunReport {
+        if let Json::Obj(fields) = &mut self.json {
+            if let Some((_, counters)) = fields.iter_mut().find(|(key, _)| key == "fabrication")
+            {
+                *counters =
+                    std::mem::replace(counters, Json::Null).field("transpiles", transpiles);
+            }
+        }
+        self
     }
 
     /// The report as pretty-printed deterministic JSON.

@@ -1497,6 +1497,7 @@ impl Shared {
         }
         let _running = self.reset_gate.read().unwrap_or_else(PoisonError::into_inner);
         let fabrication_before = self.hub.fabrication_stats();
+        let transpiles_before = self.hub.transpiles();
         let store_before = self.hub.store_stats();
         let peer_before = self.hub.peer_stats();
         let (tx, rx) = mpsc::channel::<(usize, usize)>();
@@ -1565,6 +1566,7 @@ impl Shared {
                 // traffic — the observable for "no recomputation, and
                 // no disk either".
                 fabrication: self.hub.fabrication_stats().since(fabrication_before),
+                transpiles: self.hub.transpiles().saturating_sub(transpiles_before),
                 store: self.hub.store_stats().since(store_before),
                 peer: self.hub.peer_stats().since(&peer_before),
                 workers: prepared.scheduler.workers(),
@@ -1600,7 +1602,8 @@ impl Shared {
                 let batch = self.counters.batches.fetch_add(1, Ordering::Relaxed) + 1;
                 self.counters.scenarios.fetch_add(run.results.len() as u64, Ordering::Relaxed);
                 let report =
-                    RunReport::from_results(&run.results, run.fabrication, run.store, run.peer);
+                    RunReport::from_results(&run.results, run.fabrication, run.store, run.peer)
+                        .with_transpiles(run.transpiles);
                 self.respond(
                     conn,
                     &Response::Report {
@@ -1652,12 +1655,15 @@ impl Shared {
             RunOutcome::Completed(run) => {
                 self.counters.work_units.fetch_add(1, Ordering::Relaxed);
                 self.counters.scenarios.fetch_add(run.results.len() as u64, Ordering::Relaxed);
-                let outcome = mesh::outcome_from_results(
-                    &run.results,
-                    run.fabrication,
-                    run.store,
-                    run.peer,
-                );
+                let outcome = mesh::WorkOutcome {
+                    transpiles: run.transpiles,
+                    ..mesh::outcome_from_results(
+                        &run.results,
+                        run.fabrication,
+                        run.store,
+                        run.peer,
+                    )
+                };
                 self.respond(
                     conn,
                     &Response::WorkResult { pieces: mesh::encode_pieces(&outcome) },
@@ -1678,6 +1684,7 @@ impl Shared {
 struct BatchExecution {
     results: Vec<ScenarioResult>,
     fabrication: FabricationStats,
+    transpiles: usize,
     store: StoreStats,
     peer: PeerStats,
     workers: usize,

@@ -8,8 +8,14 @@
 //!    shared cache directory executes zero fabrication campaigns;
 //! 3. both hold at every tested `(workers, shards)` pair, and across
 //!    *different* shard counts against the same directory (the
-//!    merge-on-read interop).
+//!    merge-on-read interop);
+//! 4. **Routing is paid once** — a Fig. 10 link-ratio pair routes each
+//!    distinct (benchmark, device) circuit once cold, and not at all
+//!    warm.
 
+use std::collections::BTreeSet;
+
+use chipletqc::experiments::fig10::Fig10Config;
 use chipletqc::lab::CacheHub;
 use chipletqc_engine::report::{strip_counter_objects, RunReport};
 use chipletqc_engine::scenario::{ExperimentKind, Overrides, Scale, Scenario, SystemSpec};
@@ -158,5 +164,78 @@ fn read_mode_serves_hits_but_never_writes_and_off_matches() {
     assert!(write_writes > 0);
     assert_eq!(strip_counters(&write_json), strip_counters(&baseline));
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Fig. 10 systems the reduced pair below keeps.
+const FIG10_MAX_QUBITS: usize = 60;
+
+/// A reduced quick Fig. 10 pair at link ratios 1 and 2.5: the
+/// `linkratio_sweep` shape, on few systems.
+fn fig10_pair() -> Vec<Scenario> {
+    [1.0, 2.5]
+        .into_iter()
+        .map(|ratio| Scenario {
+            name: format!("fig10-r{ratio}"),
+            kind: ExperimentKind::Fig10,
+            scale: Scale::Quick,
+            overrides: Overrides {
+                batch: Some(120),
+                link_ratio: Some(ratio),
+                max_system_qubits: Some(FIG10_MAX_QUBITS),
+                ..Overrides::default()
+            },
+        })
+        .collect()
+}
+
+/// Runs the pair and returns the report JSON (with the routing count)
+/// and the routings run.
+fn run_fig10(workers: usize, shards: usize, hub: &CacheHub) -> (String, usize) {
+    let before = hub.transpiles();
+    let results = Scheduler::new(workers).with_shards(shards).run(&fig10_pair(), hub);
+    hub.flush_store();
+    let transpiles = hub.transpiles() - before;
+    let json = RunReport::from_results(
+        &results,
+        hub.fabrication_stats(),
+        hub.store_stats(),
+        hub.peer_stats(),
+    )
+    .with_transpiles(transpiles)
+    .to_json();
+    (json, transpiles)
+}
+
+#[test]
+fn fig10_ratio_pair_routes_each_circuit_once_cold_and_never_warm() {
+    let config = Fig10Config::quick();
+    let systems: Vec<_> =
+        config.systems.iter().filter(|s| s.num_qubits() <= FIG10_MAX_QUBITS).collect();
+    let sizes: BTreeSet<usize> = systems.iter().map(|s| s.num_qubits()).collect();
+    assert!(systems.len() >= 2 && sizes.len() < systems.len(), "{systems:?}");
+    // One MCM routing per system and one monolithic routing per size,
+    // per benchmark — shared by both ratios and by every shard.
+    let distinct = config.benchmarks.len() * (systems.len() + sizes.len());
+
+    let (off_json, off_transpiles) = run_fig10(2, 1, &CacheHub::new());
+    assert_eq!(off_transpiles, distinct, "the memo alone routes each pair once");
+
+    let dir = temp_dir("fig10");
+    let open = || Store::open(&dir, CacheMode::ReadWrite).expect("open store");
+    let (cold_json, cold_transpiles) = run_fig10(2, 3, &CacheHub::new().with_store(open()));
+    assert_eq!(cold_transpiles, distinct, "not once per ratio or shard");
+    assert!(cold_json.contains(&format!("\"transpiles\": {distinct}")));
+
+    let warm_hub = CacheHub::new().with_store(open());
+    let (warm_json, warm_transpiles) = run_fig10(1, 1, &warm_hub);
+    assert_eq!(warm_transpiles, 0, "a warm store serves every routing");
+    assert!(warm_json.contains("\"transpiles\": 0"));
+    assert_eq!(warm_hub.fabrication_stats().total(), 0);
+
+    // Reports, artifacts included, agree byte for byte apart from the
+    // counter objects.
+    assert_eq!(strip_counters(&cold_json), strip_counters(&off_json));
+    assert_eq!(strip_counters(&warm_json), strip_counters(&off_json));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -24,6 +24,12 @@
 //! * `mono-pop` — a whole noise-assigned monolithic population; detail
 //!   is the system size (payload encoded by `chipletqc`, which owns
 //!   the type).
+//! * `edge-usage` — the per-edge two-qubit gate counts of one routed
+//!   circuit; cache key is the routing version plus the transpiler
+//!   configuration, detail is the benchmark, circuit seed and width,
+//!   and the device (payload keyed by `chipletqc`, which owns the
+//!   routing key). Noise is never part of it: routing is a pure
+//!   function of circuit × device × transpiler.
 //! * `raw-bin` — the collision-free survivors of one canonical
 //!   [`TrialRange`] chunk, with batch-global trial indices; keyed by a
 //!   *batch-independent* fabrication key, so runs with different batch
@@ -158,7 +164,8 @@ pub struct EntryKey {
     /// The configuration key pinning everything that determines the
     /// product's bytes (a `LabConfig::cache_key()`-style string).
     pub cache_key: String,
-    /// The product kind (`kgd-bin`, `mono-pop`, `raw-bin`, `tally`).
+    /// The product kind (`kgd-bin`, `mono-pop`, `edge-usage`,
+    /// `raw-bin`, `tally`).
     pub kind: String,
     /// The product coordinate within the configuration (size, stream,
     /// trial range).

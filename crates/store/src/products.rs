@@ -1,5 +1,6 @@
-//! Typed product access: whole KGD bins, chunked raw fabrication
-//! bins, and chunked Monte Carlo tallies, with merge-on-read.
+//! Typed product access: whole KGD bins, routed edge-usage tables,
+//! chunked raw fabrication bins, and chunked Monte Carlo tallies, with
+//! merge-on-read.
 //!
 //! ## Canonical chunking
 //!
@@ -64,6 +65,10 @@ pub const KIND_KGD_BIN: &str = "kgd-bin";
 /// Entry kind: a whole noise-assigned monolithic population (payload
 /// encoded by `chipletqc`, which owns the type).
 pub const KIND_MONO_POP: &str = "mono-pop";
+/// Entry kind: the per-edge two-qubit gate usage of one routed circuit
+/// (circuit × device × transpiler; payload keyed by `chipletqc`, which
+/// owns the routing key).
+pub const KIND_EDGE_USAGE: &str = "edge-usage";
 /// Entry kind: the indexed collision-free survivors of one chunk.
 pub const KIND_RAW_BIN: &str = "raw-bin";
 /// Entry kind: the survivor indices of one chunk (JSON payload).
@@ -127,6 +132,36 @@ impl Store {
     ) {
         let key = EntryKey::new(cache_key, KIND_KGD_BIN, format!("{chiplet_qubits}q"));
         self.put_with(&key, Encoding::Binary, move || encode_to_vec(&*bin));
+    }
+
+    /// Reads one routed circuit's edge usage (`None` on any miss). A
+    /// table whose length is not the device's `edges` count — stale or
+    /// corrupt — is a counted invalid miss, never a usage to score.
+    pub fn get_edge_usage(
+        &self,
+        cache_key: &str,
+        detail: &str,
+        edges: usize,
+    ) -> Option<Vec<u32>> {
+        let payload = self.get(&EntryKey::new(cache_key, KIND_EDGE_USAGE, detail))?;
+        match decode_from_slice::<Vec<u32>>(&payload) {
+            Ok(usage) if usage.len() == edges => Some(usage),
+            _ => {
+                self.count_invalid_payload();
+                None
+            }
+        }
+    }
+
+    /// Persists one routed circuit's edge usage (write-behind).
+    pub fn put_edge_usage(
+        &self,
+        cache_key: &str,
+        detail: &str,
+        usage: std::sync::Arc<Vec<u32>>,
+    ) {
+        let key = EntryKey::new(cache_key, KIND_EDGE_USAGE, detail);
+        self.put_with(&key, Encoding::Binary, move || encode_to_vec(&*usage));
     }
 
     /// A payload that decoded structurally but failed product

@@ -88,11 +88,11 @@ proptest! {
     #[test]
     fn envelopes_round_trip_and_reject_truncation(
         payload in prop::collection::vec(0u8..=255, 0..200),
-        kind_pick in 0u8..4,
+        kind_pick in 0u8..5,
         cut_fraction in 0.0f64..1.0,
         json_pick in 0u8..2,
     ) {
-        let kind = ["kgd-bin", "mono-pop", "raw-bin", "tally"][kind_pick as usize];
+        let kind = ["kgd-bin", "mono-pop", "edge-usage", "raw-bin", "tally"][kind_pick as usize];
         let encoding = if json_pick == 1 { Encoding::Json } else { Encoding::Binary };
         let sealed = envelope::seal(kind, "prop-key", encoding, &payload);
         let opened = envelope::open(&sealed).unwrap();
